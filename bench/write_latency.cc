@@ -71,9 +71,9 @@ void Run(int argc, char** argv) {
               elements * 8 / 1024, repeats);
 
   const std::vector<DetectionMode> modes = {
-      DetectionMode::kStandalone, DetectionMode::kBlast,      DetectionMode::kRt,
-      DetectionMode::kRtTwoLevel, DetectionMode::kRtQueue,    DetectionMode::kRtHybrid,
-      DetectionMode::kVmSoft,     DetectionMode::kVmSigsegv,
+      DetectionMode::kStandalone, DetectionMode::kBlast,     DetectionMode::kRt,
+      DetectionMode::kRtQueue,    DetectionMode::kRtHybrid,  DetectionMode::kVmSoft,
+      DetectionMode::kVmSigsegv,
   };
 
   LatencyResult baseline = MeasureWrites(DetectionMode::kStandalone, elements, repeats);

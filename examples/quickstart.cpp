@@ -18,7 +18,6 @@ midway::DetectionMode ParseMode(const std::string& name) {
   if (name == "vmsig") return midway::DetectionMode::kVmSigsegv;
   if (name == "blast") return midway::DetectionMode::kBlast;
   if (name == "twinall") return midway::DetectionMode::kTwinAll;
-  if (name == "rt2") return midway::DetectionMode::kRtTwoLevel;
   return midway::DetectionMode::kRt;
 }
 

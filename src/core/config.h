@@ -9,15 +9,16 @@
 
 namespace midway {
 
-// Which write detection machinery the DSM uses (paper §3 and §3.5).
+// Which write detection machinery the DSM uses (paper §3 and §3.5). The numeric values are
+// printed wherever a mode is dumped as a byte (test parameter names among them), so a removed
+// mode's value is retired, not reused: 5 was the old separate two-level mode.
 enum class DetectionMode : uint8_t {
   kRt = 0,         // RT-DSM: instrumented stores set dirtybit timestamps (paper §3.1–3.2)
   kVmSoft,         // VM-DSM with a simulated ("soft") write fault on the store path
   kVmSigsegv,      // VM-DSM with real mprotect(2) + SIGSEGV write faults (paper §3.3–3.4)
   kBlast,          // §3.5: no detection; ship all bound data on every transfer
   kTwinAll,        // §3.5: no detection; twin everything at acquire, diff everything at grant
-  kRtTwoLevel,     // §3.5 extension: two-level dirtybits (first level gates line scans)
-  kRtQueue,        // §3.5 extension: update queue — trapping also appends the written line
+  kRtQueue = 6,    // §3.5 extension: update queue — trapping also appends the written line
                    //   run to a queue; collection walks the queue instead of scanning
   kRtHybrid,       // §3.5 extension: VM page protection over the *dirtybit pages* acts as
                    //   the first level; the store fast path is unchanged
@@ -63,9 +64,6 @@ struct SystemConfig {
   // Emit diagnostics when entry-consistency races are detected (two processors updating the
   // same cache line in one synchronization interval).
   bool detect_races = true;
-
-  // Two-level dirtybits (kRtTwoLevel): how many lines one first-level bit covers.
-  uint32_t first_level_fanout = 64;
 
   // Update queue (kRtQueue): maximum queued line runs per region before the queue overflows
   // and collection falls back to a full scan of that region's bound ranges.

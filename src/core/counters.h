@@ -20,8 +20,8 @@ namespace midway {
   X(clean_dirtybits_read, "collection scans finding clean lines")                            \
   X(dirty_dirtybits_read, "collection scans finding dirty lines")                            \
   X(dirtybits_updated, "timestamps written while applying updates")                          \
-  X(first_level_set, "kRtTwoLevel: first-level bits set")                                    \
-  X(first_level_skips, "kRtTwoLevel: clean cover bits that skipped a second-level scan")     \
+  X(first_level_set, "kRtHybrid: first-level bits set (dirtybit page faults)")              \
+  X(first_level_skips, "kRtHybrid: clean cover pages that skipped a second-level scan")      \
   X(queue_appends, "kRtQueue: line runs appended")                                           \
   X(queue_merges, "kRtQueue: sequential-merge heuristic hits")                               \
   X(queue_overflows, "kRtQueue: regions falling back to scans")                              \

@@ -1,12 +1,15 @@
 // Multi-process operation: run one DSM processor per OS process over a TCP mesh — the
 // paper's actual deployment shape (a network of workstations).
 //
-// Every process calls RunDistributedNode with its rank; rank 0 coordinates the mesh
-// bootstrap (barriers run over the reduction tree rooted at the lowest live rank). The
-// SPMD contract is unchanged: all ranks execute the same setup calls in
-// the same order before BeginParallel. RunDistributedNode returns only after *every* rank
-// has finished `body` (a final collective keeps each node's communication thread serving
-// lock grants until no node can need one).
+// Every process calls RunDistributedNode with its rank. Rank 0 coordinates the mesh
+// bootstrap: each worker announces {rank, peer listen port} to it, it broadcasts the port
+// table, and the workers then connect pairwise. Each process then runs one per-rank
+// EpollTransport over its links, the same event loop, framing and backpressure an
+// in-process TCP run uses. (Barriers run over the reduction tree rooted at the lowest live
+// rank, not at the bootstrap coordinator.) The SPMD contract is unchanged: all ranks
+// execute the same setup calls in the same order before BeginParallel. RunDistributedNode
+// returns only after *every* rank has finished `body` (a final collective keeps each node's
+// communication thread serving lock grants until no node can need one).
 //
 //   // in each of N processes:
 //   midway::DistributedOptions opts;

@@ -100,7 +100,6 @@ void RtStrategy::ApplyEntry(const UpdateEntry& entry) {
   Region* region = regions_->Get(entry.addr.region);
   DirtybitTable* db = region->dirtybits();
   MIDWAY_CHECK(db != nullptr);
-  RegionHeader* header = region->header();
   std::byte* base = region->data();
   const uint32_t line_size = region->line_size();
   uint32_t pos = entry.addr.offset;
@@ -121,10 +120,6 @@ void RtStrategy::ApplyEntry(const UpdateEntry& entry) {
       }
       std::memcpy(base + pos, entry.data.data() + (pos - entry.addr.offset), n);
       db->Store(line, entry.ts);
-      if (header->first_level != nullptr) {
-        header->first_level[line >> header->first_level_shift].store(
-            1, std::memory_order_relaxed);
-      }
       counters_->dirtybits_updated.fetch_add(1, std::memory_order_relaxed);
       if (ledger_ != nullptr) {
         ledger_->RecordApply(entry.addr.region, static_cast<uint32_t>(line), entry.ts);
@@ -132,12 +127,6 @@ void RtStrategy::ApplyEntry(const UpdateEntry& entry) {
     } else if (entry.ts > local) {
       std::memcpy(base + pos, entry.data.data() + (pos - entry.addr.offset), n);
       db->Store(line, entry.ts);
-      // Two-level: an applied update makes this line newer than older requesters' last-seen
-      // times, so the cover bit must be raised or onward grants would skip the block.
-      if (header->first_level != nullptr) {
-        header->first_level[line >> header->first_level_shift].store(
-            1, std::memory_order_relaxed);
-      }
       counters_->dirtybits_updated.fetch_add(1, std::memory_order_relaxed);
       if (ledger_ != nullptr) {
         ledger_->RecordApply(entry.addr.region, static_cast<uint32_t>(line), entry.ts);
@@ -147,75 +136,6 @@ void RtStrategy::ApplyEntry(const UpdateEntry& entry) {
       counters_->redundant_bytes_skipped.fetch_add(n, std::memory_order_relaxed);
     }
     pos = line_end;
-  }
-}
-
-// --- Two-level dirtybits (§3.5 extension) --------------------------------------------------
-
-void TwoLevelRtStrategy::AttachRegion(Region* region) {
-  if (region->dirtybits() == nullptr) return;
-  MIDWAY_CHECK(IsPowerOfTwo(config_.first_level_fanout));
-  const size_t blocks = CeilDiv(region->num_lines(), config_.first_level_fanout);
-  auto bits = std::make_unique<std::atomic<uint8_t>[]>(blocks);
-  for (size_t i = 0; i < blocks; ++i) bits[i].store(0, std::memory_order_relaxed);
-  region->header()->first_level = bits.get();
-  region->header()->first_level_shift = Log2(config_.first_level_fanout);
-  first_level_count_[region->id()] = blocks;
-  first_level_[region->id()] = std::move(bits);
-}
-
-void TwoLevelRtStrategy::OnBeginParallel() {
-  RtStrategy::OnBeginParallel();
-  for (auto& [id, bits] : first_level_) {
-    const size_t blocks = first_level_count_[id];
-    for (size_t i = 0; i < blocks; ++i) bits[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-void TwoLevelRtStrategy::NoteWrite(RegionHeader* header, uint32_t offset, uint32_t length) {
-  RtStrategy::NoteWrite(header, offset, length);
-  if (header->dirty_slots == nullptr || header->first_level == nullptr) return;
-  // One extra store on the write path (the paper estimates ~10% added trapping cost).
-  const uint32_t first = (offset >> header->line_shift) >> header->first_level_shift;
-  const uint32_t last =
-      ((offset + length - 1) >> header->line_shift) >> header->first_level_shift;
-  for (uint32_t block = first; block <= last; ++block) {
-    header->first_level[block].store(1, std::memory_order_relaxed);
-  }
-  counters_->first_level_set.fetch_add(last - first + 1, std::memory_order_relaxed);
-}
-
-void TwoLevelRtStrategy::Collect(const Binding& binding, uint64_t since, uint64_t stamp_ts,
-                                 UpdateSet* out) {
-  obs::Span span = CollectSpan(obs::SpanKind::kCollect);
-  std::vector<DirtybitTable::DirtyLine> lines;
-  for (const GlobalRange& range : binding.ranges) {
-    Region* region = regions_->Get(range.addr.region);
-    DirtybitTable* db = region->dirtybits();
-    MIDWAY_CHECK(db != nullptr);
-    RegionHeader* header = region->header();
-    uint32_t begin = range.begin();
-    uint32_t end = static_cast<uint32_t>(std::min<uint64_t>(range.end(), region->size()));
-    if (begin >= end) continue;
-    const size_t first_line = db->LineOf(begin);
-    const size_t last_line = db->LineOf(end - 1);
-    const uint32_t fshift = header->first_level_shift;
-    for (size_t block = first_line >> fshift; block <= last_line >> fshift; ++block) {
-      if (header->first_level[block].load(std::memory_order_relaxed) == 0) {
-        // Whole cover block clean: one first-level read replaces fanout line reads.
-        counters_->first_level_skips.fetch_add(1, std::memory_order_relaxed);
-        counters_->clean_dirtybits_read.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      const size_t bfirst = std::max(first_line, block << fshift);
-      const size_t blast = std::min(last_line, ((block + 1) << fshift) - 1);
-      lines.clear();
-      auto stats = db->CollectRange(bfirst, blast, since, stamp_ts, &lines);
-      counters_->clean_dirtybits_read.fetch_add(stats.clean_reads, std::memory_order_relaxed);
-      counters_->dirty_dirtybits_read.fetch_add(stats.dirty_reads, std::memory_order_relaxed);
-      counters_->summary_word_skips.fetch_add(stats.summary_skips, std::memory_order_relaxed);
-      AppendLineEntries(region, lines, begin, end, out);
-    }
   }
 }
 

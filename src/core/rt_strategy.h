@@ -42,28 +42,6 @@ class RtStrategy : public DetectionStrategy {
                  uint64_t stamp_ts, UpdateSet* out);
 };
 
-// §3.5 extension: two-level dirtybits. Every store additionally sets a first-level "cover"
-// bit spanning `config.first_level_fanout` lines; collection skips a whole cover block when
-// its bit is clear, making collection cost proportional to the amount of dirty data. Cover
-// bits are monotonic within a parallel phase (clearing them safely would require write
-// quiescence across all locks sharing a block).
-class TwoLevelRtStrategy final : public RtStrategy {
- public:
-  using RtStrategy::RtStrategy;
-
-  DetectionMode mode() const override { return DetectionMode::kRtTwoLevel; }
-
-  void AttachRegion(Region* region) override;
-  void OnBeginParallel() override;
-  void NoteWrite(RegionHeader* header, uint32_t offset, uint32_t length) override;
-  void Collect(const Binding& binding, uint64_t since, uint64_t stamp_ts,
-               UpdateSet* out) override;
-
- private:
-  std::map<RegionId, std::unique_ptr<std::atomic<uint8_t>[]>> first_level_;
-  std::map<RegionId, size_t> first_level_count_;
-};
-
 // §3.5 extension: update queue. Every instrumented store also appends the written line run
 // to a per-region queue (merging with the tail when writes are sequential — the paper's
 // heuristic). Collection walks the queue's runs instead of scanning every bound line, so its
@@ -110,7 +88,8 @@ class RtQueueStrategy final : public RtStrategy {
 // dirtybit slots start write-protected, and the first slot store on each page faults — the
 // handler sets a first-level bit covering that page's lines (OS page / 8 bytes per slot =
 // 512 lines on 4 KB pages) and unprotects it. Collection skips cover blocks whose bit never
-// faulted. Like the two-level variant, cover bits are monotonic within a parallel phase.
+// faulted. Cover bits are monotonic within a parallel phase (clearing them safely would
+// require write quiescence across all locks sharing a page).
 class HybridRtStrategy final : public RtStrategy {
  public:
   HybridRtStrategy(const SystemConfig& config, RegionTable* regions, Counters* counters);

@@ -72,8 +72,6 @@ const char* DetectionModeName(DetectionMode mode) {
       return "Blast";
     case DetectionMode::kTwinAll:
       return "TwinAll";
-    case DetectionMode::kRtTwoLevel:
-      return "RT-DSM(2level)";
     case DetectionMode::kRtQueue:
       return "RT-DSM(queue)";
     case DetectionMode::kRtHybrid:
@@ -89,8 +87,6 @@ std::unique_ptr<DetectionStrategy> MakeStrategy(const SystemConfig& config, Regi
   switch (config.mode) {
     case DetectionMode::kRt:
       return std::make_unique<RtStrategy>(config, regions, counters);
-    case DetectionMode::kRtTwoLevel:
-      return std::make_unique<TwoLevelRtStrategy>(config, regions, counters);
     case DetectionMode::kRtQueue:
       return std::make_unique<RtQueueStrategy>(config, regions, counters);
     case DetectionMode::kRtHybrid:

@@ -30,7 +30,7 @@ uint32_t PageTable::PageBytes(size_t page) const {
 bool PageTable::FaultIn(size_t page) {
   Entry& entry = entries_[page];
   uint32_t expected = kClean;
-  if (!entry.state.compare_exchange_strong(expected, kDirty, std::memory_order_acq_rel)) {
+  if (!entry.state.compare_exchange_strong(expected, kFaulting, std::memory_order_acq_rel)) {
     return false;
   }
   std::byte* twin;
@@ -41,6 +41,7 @@ bool PageTable::FaultIn(size_t page) {
     twin = entry.twin.get();
   }
   std::memcpy(twin, PageData(page), PageBytes(page));
+  entry.state.store(kDirty, std::memory_order_release);
   fault_count_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -61,10 +62,10 @@ std::byte* PageTable::MutableTwin(size_t page) {
 
 void PageTable::MarkClean(size_t page) {
   Entry& entry = entries_[page];
+  entry.state.store(kClean, std::memory_order_release);
   if (!preallocated_) {
     entry.twin.reset();
   }
-  entry.state.store(kClean, std::memory_order_release);
 }
 
 }  // namespace midway

@@ -32,6 +32,9 @@ class PageTable {
   // Bytes of region data actually on this page (the last page may be partial).
   uint32_t PageBytes(size_t page) const;
 
+  // A page reads as dirty only once its twin is complete. A page that is still being twinned
+  // (kFaulting) reads as clean: its faulting store has not happened yet, so it holds nothing
+  // to collect, and the comm thread must not diff against a twin that is not there yet.
   bool IsDirty(size_t page) const {
     return entries_[page].state.load(std::memory_order_acquire) == kDirty;
   }
@@ -39,7 +42,9 @@ class PageTable {
   // The write-fault path: twin the page and mark it dirty. Returns true if this call
   // performed the transition (false if the page was already dirty). Does NOT touch page
   // protection — the caller owns that (soft backend: nothing; sigsegv backend: mprotect).
-  // Safe to call from a signal handler when twins are preallocated.
+  // Safe to call from a signal handler when twins are preallocated. Runs on the application
+  // thread without the runtime's lock, so the page passes through kFaulting and is published
+  // as kDirty (release) only after the twin copy.
   bool FaultIn(size_t page);
 
   std::byte* PageData(size_t page) { return region_->data() + PageBegin(page); }
@@ -55,6 +60,7 @@ class PageTable {
  private:
   static constexpr uint32_t kClean = 0;
   static constexpr uint32_t kDirty = 1;
+  static constexpr uint32_t kFaulting = 2;  // twin being allocated and copied
 
   struct Entry {
     std::atomic<uint32_t> state{kClean};

@@ -49,8 +49,6 @@ struct RegionHeader {
   // Slots used by specific detection strategies (set when the strategy attaches):
   void* page_table = nullptr;                     // VM strategies: the region's PageTable
   uint32_t page_shift = 0;                        // VM strategies: log2(coherency page size)
-  std::atomic<uint8_t>* first_level = nullptr;    // two-level RT: first-level bit array
-  uint32_t first_level_shift = 0;                 // two-level RT: log2(lines per cover bit)
 };
 
 class Region {

@@ -37,13 +37,6 @@ void RaiseFdLimitFor(NodeId num_nodes) {
   }
 }
 
-void SetNonblocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  MIDWAY_CHECK_GE(flags, 0) << " fcntl(F_GETFL): " << std::strerror(errno);
-  MIDWAY_CHECK_EQ(::fcntl(fd, F_SETFL, flags | O_NONBLOCK), 0)
-      << " fcntl(F_SETFL): " << std::strerror(errno);
-}
-
 // Non-blocking scatter-gather write: sends as much as the kernel accepts right now.
 // Returns bytes written; sets *fatal on unrecoverable errors (EAGAIN is not fatal).
 size_t TryWritev(int fd, const net::IoSlice* slices, size_t count, bool* fatal) {
@@ -88,24 +81,12 @@ size_t TryWritev(int fd, const net::IoSlice* slices, size_t count, bool* fatal) 
 EpollTransport::EpollTransport(NodeId num_nodes) : num_nodes_(num_nodes) {
   MIDWAY_CHECK_GT(num_nodes, 0);
   RaiseFdLimitFor(num_nodes);
-  nodes_.reserve(num_nodes);
-  for (NodeId i = 0; i < num_nodes; ++i) {
-    auto node = std::make_unique<Node>();
-    node->self = i;
-    node->conns.resize(num_nodes);
-    nodes_.push_back(std::move(node));
-  }
+  nodes_.resize(num_nodes);
+  for (NodeId i = 0; i < num_nodes; ++i) AddNode(i);
 
   // Build the mesh: for each pair (i < j), j connects to i's listener. Setup is sequential
   // (single constructor thread), so there is no accept/connect ordering hazard: we connect
   // then immediately accept. Sockets go non-blocking only after the handshake.
-  auto make_conn = [this](NodeId owner, NodeId peer, int fd) {
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->peer = peer;
-    conn->assembler = std::make_unique<net::FrameAssembler>(&nodes_[owner]->pool);
-    nodes_[owner]->conns[peer] = std::move(conn);
-  };
   for (NodeId i = 0; i + 1 < num_nodes; ++i) {
     uint16_t port = 0;
     int listener = net::Listen("127.0.0.1", &port);
@@ -113,19 +94,56 @@ EpollTransport::EpollTransport(NodeId num_nodes) : num_nodes_(num_nodes) {
       int cfd = net::ConnectWithRetry("127.0.0.1", port);
       int afd = ::accept(listener, nullptr, nullptr);
       MIDWAY_CHECK_GE(afd, 0) << " accept(): " << std::strerror(errno);
-      net::TuneSocket(cfd);
-      net::TuneSocket(afd);
-      SetNonblocking(cfd);
-      SetNonblocking(afd);
-      make_conn(j, i, cfd);  // node j's endpoint toward i
-      make_conn(i, j, afd);  // node i's endpoint toward j
+      for (int fd : {cfd, afd}) {
+        net::TuneSocket(fd);
+        net::SetNonblocking(fd);
+      }
+      AddConn(j, i, cfd);  // node j's endpoint toward i
+      AddConn(i, j, afd);  // node i's endpoint toward j
     }
     ::close(listener);
   }
+  Start();
+}
 
-  // Per-node event loop: epoll over all N-1 endpoints plus an eventfd for wakeups.
-  for (NodeId i = 0; i < num_nodes; ++i) {
-    Node& node = *nodes_[i];
+EpollTransport::EpollTransport(NodeId self, NodeId num_nodes, std::vector<int> peer_fds)
+    : num_nodes_(num_nodes) {
+  MIDWAY_CHECK_LT(self, num_nodes);
+  MIDWAY_CHECK_EQ(peer_fds.size(), static_cast<size_t>(num_nodes));
+  nodes_.resize(num_nodes);
+  AddNode(self);
+  for (NodeId peer = 0; peer < num_nodes; ++peer) {
+    if (peer == self) continue;
+    const int fd = peer_fds[peer];
+    MIDWAY_CHECK_GE(fd, 0) << " missing mesh link to rank " << peer;
+    // A blocking socket would stall the loop inside DrainRecv's read-until-EAGAIN.
+    MIDWAY_CHECK(::fcntl(fd, F_GETFL, 0) & O_NONBLOCK) << " link to rank " << peer
+                                                        << " is a blocking socket";
+    AddConn(self, peer, fd);
+  }
+  Start();
+}
+
+void EpollTransport::AddNode(NodeId self) {
+  auto node = std::make_unique<Node>();
+  node->self = self;
+  node->conns.resize(num_nodes_);
+  nodes_[self] = std::move(node);
+}
+
+void EpollTransport::AddConn(NodeId owner, NodeId peer, int fd) {
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->peer = peer;
+  conn->assembler = std::make_unique<net::FrameAssembler>(&nodes_[owner]->pool);
+  nodes_[owner]->conns[peer] = std::move(conn);
+}
+
+void EpollTransport::Start() {
+  // Per-node event loop: epoll over the node's endpoints plus an eventfd for wakeups.
+  for (auto& hosted : nodes_) {
+    if (!hosted) continue;
+    Node& node = *hosted;
     node.epfd = ::epoll_create1(0);
     MIDWAY_CHECK_GE(node.epfd, 0) << " epoll_create1: " << std::strerror(errno);
     node.wakefd = ::eventfd(0, EFD_NONBLOCK);
@@ -134,7 +152,7 @@ EpollTransport::EpollTransport(NodeId num_nodes) : num_nodes_(num_nodes) {
     ev.events = EPOLLIN;
     ev.data.u32 = kWakeTag;
     MIDWAY_CHECK_EQ(::epoll_ctl(node.epfd, EPOLL_CTL_ADD, node.wakefd, &ev), 0);
-    for (NodeId j = 0; j < num_nodes; ++j) {
+    for (NodeId j = 0; j < num_nodes_; ++j) {
       if (!node.conns[j]) continue;
       epoll_event cev{};
       cev.events = EPOLLIN;
@@ -142,16 +160,17 @@ EpollTransport::EpollTransport(NodeId num_nodes) : num_nodes_(num_nodes) {
       MIDWAY_CHECK_EQ(::epoll_ctl(node.epfd, EPOLL_CTL_ADD, node.conns[j]->fd, &cev), 0)
           << " epoll_ctl(ADD): " << std::strerror(errno);
     }
-    node.loop = std::thread([this, i] { EventLoop(i); });
+    node.loop = std::thread([this, self = node.self] { EventLoop(self); });
   }
 }
 
 EpollTransport::~EpollTransport() {
   Shutdown();
   for (auto& node : nodes_) {
-    if (node->loop.joinable()) node->loop.join();
+    if (node && node->loop.joinable()) node->loop.join();
   }
   for (auto& node : nodes_) {
+    if (!node) continue;
     for (auto& conn : node->conns) {
       if (conn && conn->fd >= 0) {
         ::close(conn->fd);
@@ -180,7 +199,7 @@ void EpollTransport::SetWantWrite(Node& node, Conn& conn, bool want) {
 }
 
 void EpollTransport::EventLoop(NodeId self) {
-  Node& node = *nodes_[self];
+  Node& node = LocalNode(self);
   constexpr int kMaxEvents = 128;
   std::vector<epoll_event> events(kMaxEvents);
   for (;;) {
@@ -345,8 +364,8 @@ void EpollTransport::Send(NodeId src, NodeId dst, std::vector<std::byte> payload
   uint8_t header[net::kFrameHeaderBytes];
   net::FillFrameHeader(header, static_cast<uint32_t>(payload.size()), src);
   net::IoSlice slices[2] = {{header, sizeof(header)}, {payload.data(), payload.size()}};
-  SendSlices(*nodes_[src], *nodes_[src]->conns[dst], slices, 2,
-             sizeof(header) + payload.size());
+  Node& node = LocalNode(src);
+  SendSlices(node, *node.conns[dst], slices, 2, sizeof(header) + payload.size());
 }
 
 void EpollTransport::SendV(NodeId src, NodeId dst,
@@ -369,12 +388,12 @@ void EpollTransport::SendV(NodeId src, NodeId dst,
   for (const auto& seg : segments) {
     slices.push_back(net::IoSlice{seg.data(), seg.size()});
   }
-  SendSlices(*nodes_[src], *nodes_[src]->conns[dst], slices.data(), slices.size(),
-             sizeof(header) + total);
+  Node& node = LocalNode(src);
+  SendSlices(node, *node.conns[dst], slices.data(), slices.size(), sizeof(header) + total);
 }
 
 void EpollTransport::Deliver(NodeId dst, Packet packet) {
-  Mailbox& box = nodes_[dst]->mailbox;
+  Mailbox& box = LocalNode(dst).mailbox;
   {
     std::lock_guard<std::mutex> lock(box.mu);
     box.queue.push_back(std::move(packet));
@@ -383,7 +402,7 @@ void EpollTransport::Deliver(NodeId dst, Packet packet) {
 }
 
 void EpollTransport::DeliverBatch(NodeId dst, std::vector<Packet>* batch) {
-  Mailbox& box = nodes_[dst]->mailbox;
+  Mailbox& box = LocalNode(dst).mailbox;
   {
     std::lock_guard<std::mutex> lock(box.mu);
     for (auto& p : *batch) box.queue.push_back(std::move(p));
@@ -393,7 +412,7 @@ void EpollTransport::DeliverBatch(NodeId dst, std::vector<Packet>* batch) {
 
 bool EpollTransport::Recv(NodeId self, Packet* out) {
   MIDWAY_CHECK_LT(self, num_nodes_);
-  Mailbox& box = nodes_[self]->mailbox;
+  Mailbox& box = LocalNode(self).mailbox;
   std::unique_lock<std::mutex> lock(box.mu);
   box.cv.wait(lock, [&] { return !box.queue.empty() || shutdown_.load(); });
   if (box.queue.empty()) return false;
@@ -404,7 +423,7 @@ bool EpollTransport::Recv(NodeId self, Packet* out) {
 
 bool EpollTransport::RecvBatch(NodeId self, std::vector<Packet>* out) {
   MIDWAY_CHECK_LT(self, num_nodes_);
-  Mailbox& box = nodes_[self]->mailbox;
+  Mailbox& box = LocalNode(self).mailbox;
   std::unique_lock<std::mutex> lock(box.mu);
   box.cv.wait(lock, [&] { return !box.queue.empty() || shutdown_.load(); });
   if (box.queue.empty()) return false;
@@ -420,6 +439,7 @@ void EpollTransport::Shutdown() {
   bool expected = false;
   const bool first = shutdown_.compare_exchange_strong(expected, true);
   for (auto& node : nodes_) {
+    if (!node) continue;
     if (first) {
       WakeLoop(*node);
       for (auto& conn : node->conns) {
@@ -436,6 +456,7 @@ void EpollTransport::Shutdown() {
 uint64_t EpollTransport::RecvBytesCopied() const {
   uint64_t total = 0;
   for (const auto& node : nodes_) {
+    if (!node) continue;
     for (const auto& conn : node->conns) {
       if (conn) total += conn->assembler->BytesCopied();
     }

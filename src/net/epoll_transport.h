@@ -1,11 +1,18 @@
 // Event-loop TCP transport: one epoll loop thread per node multiplexes all of that node's
-// mesh connections over non-blocking sockets.
+// mesh connections over non-blocking sockets. It is the only TCP transport, in two shapes:
 //
-// This replaces the thread-per-connection design (which needed N*(N-1) blocked reader
-// threads for an N-node mesh) with N loop threads total, making 64+ node in-process meshes
-// practical. The data path:
+//   in-process — EpollTransport(num_nodes) hosts every node of the DSM in this process and
+//                builds the mesh itself over localhost loopback pairs (N loop threads for an
+//                N-node mesh, so 64+ node meshes are practical).
+//   per-rank   — EpollTransport(self, num_nodes, peer_fds) hosts ONE node of a DSM whose
+//                processors are separate OS processes (the paper's network of workstations).
+//                The caller forms the mesh (see RunDistributedNode) and hands over one
+//                connected socket per remote rank; nodes_[r] stays null for every r != self.
 //
-//   receive — each connection owns a FrameAssembler over pooled 64 KiB buffers; complete
+// Both shapes share one setup path, one event loop, one framing path and one backpressure
+// path. The data path:
+//
+//   receive — each connection owns a FrameAssembler over pooled 256 KiB buffers; complete
 //             frames are delivered to the mailbox as zero-copy views (Packet::Borrowed)
 //             pinned by the buffer's shared_ptr, batched per wakeup under one mailbox lock.
 //   send    — callers write opportunistically on the caller thread (the fast path is one
@@ -24,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/net/recv_buffer.h"
 #include "src/net/socket_util.h"
 #include "src/net/transport.h"
@@ -35,8 +43,16 @@ class EpollTransport final : public Transport {
   // Per-link pending-write cap; a sender blocks once this much is queued for one peer.
   static constexpr size_t kMaxPendingBytes = 4 * 1024 * 1024;
 
+  // In-process mesh: hosts nodes 0..num_nodes-1 and connects every pair over localhost.
   explicit EpollTransport(NodeId num_nodes);
+  // One rank of a multi-process mesh: hosts only `self`. peer_fds[r] is a connected,
+  // non-blocking stream socket to rank r for every r != self (peer_fds[self] is ignored);
+  // the transport takes ownership. Send/SendV must use src == self, Recv self == self.
+  EpollTransport(NodeId self, NodeId num_nodes, std::vector<int> peer_fds);
   ~EpollTransport() override;
+
+  EpollTransport(const EpollTransport&) = delete;
+  EpollTransport& operator=(const EpollTransport&) = delete;
 
   NodeId NumNodes() const override { return num_nodes_; }
   void Send(NodeId src, NodeId dst, std::vector<std::byte> payload) override;
@@ -86,6 +102,17 @@ class EpollTransport final : public Transport {
     std::thread loop;
   };
 
+  // Setup shared by both constructors: AddNode/AddConn populate nodes_, then Start
+  // registers every conn with its node's epoll set and launches the loop threads.
+  void AddNode(NodeId self);
+  void AddConn(NodeId owner, NodeId peer, int fd);
+  void Start();
+  // The node hosted here for `id` (null for a per-rank transport's remote ranks).
+  Node& LocalNode(NodeId id) {
+    MIDWAY_DCHECK(id < num_nodes_ && nodes_[id] != nullptr);
+    return *nodes_[id];
+  }
+
   void EventLoop(NodeId self);
   void DrainRecv(Node& node, Conn& conn);
   void FlushPending(Node& node, Conn& conn);
@@ -100,7 +127,7 @@ class EpollTransport final : public Transport {
   void WakeLoop(Node& node);
 
   NodeId num_nodes_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<std::unique_ptr<Node>> nodes_;  // indexed by node id; null if not hosted here
   std::atomic<bool> shutdown_{false};
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> packets_sent_{0};

@@ -2,12 +2,10 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
-#include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,7 +16,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/log.h"
@@ -132,38 +129,11 @@ int ConnectWithRetry(const std::string& host, uint16_t port, int timeout_ms) {
   }
 }
 
-bool WritevExact(int fd, const IoSlice* slices, size_t count) {
-  // Local iovec copy: partial writes mutate base/len as they resume.
-  std::vector<iovec> iov(count);
-  for (size_t i = 0; i < count; ++i) {
-    iov[i].iov_base = const_cast<void*>(slices[i].data);
-    iov[i].iov_len = slices[i].size;
-  }
-  size_t idx = 0;
-  while (idx < count) {
-    if (iov[idx].iov_len == 0) {
-      ++idx;
-      continue;
-    }
-    msghdr msg{};
-    msg.msg_iov = iov.data() + idx;
-    msg.msg_iovlen = std::min(count - idx, static_cast<size_t>(IOV_MAX));
-    ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    auto n = static_cast<size_t>(r);
-    while (idx < count && n >= iov[idx].iov_len) {
-      n -= iov[idx].iov_len;
-      ++idx;
-    }
-    if (idx < count && n > 0) {
-      iov[idx].iov_base = static_cast<std::byte*>(iov[idx].iov_base) + n;
-      iov[idx].iov_len -= n;
-    }
-  }
-  return true;
+void SetNonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  MIDWAY_CHECK_GE(flags, 0) << " fcntl(F_GETFL): " << std::strerror(errno);
+  MIDWAY_CHECK_EQ(::fcntl(fd, F_SETFL, flags | O_NONBLOCK), 0)
+      << " fcntl(F_SETFL): " << std::strerror(errno);
 }
 
 void EnableNodelay(int fd) {

@@ -1,4 +1,4 @@
-// Shared low-level socket helpers for the TCP transports.
+// Shared low-level socket helpers for the TCP transport and the multi-process bootstrap.
 #ifndef MIDWAY_SRC_NET_SOCKET_UTIL_H_
 #define MIDWAY_SRC_NET_SOCKET_UTIL_H_
 
@@ -19,11 +19,6 @@ struct IoSlice {
   size_t size = 0;
 };
 
-// Scatter-gather write: sends every slice, in order, as one byte stream (sendmsg with
-// MSG_NOSIGNAL, resuming partial writes and batching past IOV_MAX). Returns false on
-// unrecoverable error. Zero-length slices are allowed.
-bool WritevExact(int fd, const IoSlice* slices, size_t count);
-
 // Creates a listening IPv4 socket. `port` == 0 picks an ephemeral port; the actual port is
 // written back through `port`. Aborts (MIDWAY_CHECK) on socket errors.
 int Listen(const std::string& host, uint16_t* port, int backlog = 64);
@@ -33,6 +28,8 @@ int Listen(const std::string& host, uint16_t* port, int backlog = 64);
 int ConnectWithRetry(const std::string& host, uint16_t port, int timeout_ms = 10'000);
 
 void EnableNodelay(int fd);
+// Sets O_NONBLOCK (event-loop sockets). Aborts on fcntl errors.
+void SetNonblocking(int fd);
 
 // Per-connection tuning for the mesh data path: TCP_NODELAY (small sync messages must not
 // wait for Nagle) plus optional SO_SNDBUF/SO_RCVBUF sizing from the

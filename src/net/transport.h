@@ -6,12 +6,18 @@
 // once a link's write queue is full), Recv blocks until a packet arrives or the transport
 // shuts down.
 //
-// Two implementations:
+// Four implementations:
 //   * InProcTransport — mutex/condvar mailboxes (fast, deterministic; the default).
-//   * EpollTransport  — real localhost TCP sockets with length-prefixed frames, multiplexed
-//                       by one epoll event-loop thread per node. Received frames are views
+//   * EpollTransport  — the one TCP transport: length-prefixed frames over non-blocking
+//                       sockets, multiplexed by one epoll event-loop thread per hosted node.
+//                       It hosts every node of an in-process localhost mesh, or one rank of
+//                       a multi-process mesh (RunDistributedNode). Received frames are views
 //                       into pooled buffers (see Packet below), the receive-side mirror of
 //                       the zero-copy SendV path.
+//   * FaultyTransport — in-process, with seeded drop/duplicate/reorder/partition and crash
+//                       injection (testing; requires the reliable delivery channel).
+//   * JitterTransport — in-process, with randomized delivery delays that preserve per-pair
+//                       FIFO order (testing).
 #ifndef MIDWAY_SRC_NET_TRANSPORT_H_
 #define MIDWAY_SRC_NET_TRANSPORT_H_
 

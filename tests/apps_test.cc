@@ -40,14 +40,13 @@ std::vector<AppCase> MakeCases() {
   // Blast supports lock-bound data only: it applies to quicksort and cholesky (whose
   // barriers carry no data).
   const std::vector<DetectionMode> barrier_modes = {
-      DetectionMode::kRt,         DetectionMode::kVmSoft,   DetectionMode::kVmSigsegv,
-      DetectionMode::kTwinAll,    DetectionMode::kRtTwoLevel, DetectionMode::kRtQueue,
-      DetectionMode::kRtHybrid,
+      DetectionMode::kRt,      DetectionMode::kVmSoft,  DetectionMode::kVmSigsegv,
+      DetectionMode::kTwinAll, DetectionMode::kRtQueue, DetectionMode::kRtHybrid,
   };
   const std::vector<DetectionMode> lock_modes = {
-      DetectionMode::kRt,      DetectionMode::kVmSoft,     DetectionMode::kVmSigsegv,
-      DetectionMode::kBlast,   DetectionMode::kTwinAll,    DetectionMode::kRtTwoLevel,
-      DetectionMode::kRtQueue, DetectionMode::kRtHybrid,
+      DetectionMode::kRt,      DetectionMode::kVmSoft,  DetectionMode::kVmSigsegv,
+      DetectionMode::kBlast,   DetectionMode::kTwinAll, DetectionMode::kRtQueue,
+      DetectionMode::kRtHybrid,
   };
   std::vector<AppCase> cases;
   for (const char* app : {"water", "matmul", "sor"}) {

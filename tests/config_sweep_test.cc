@@ -1,7 +1,7 @@
 // Configuration sweeps: every tunable that changes protocol behaviour is exercised against
 // application-level correctness — VM coherency page sizes (including partial last pages),
-// update-log windows down to 1, update-queue limits that force overflow, and two-level
-// fanouts. Each case must still verify against the sequential reference.
+// update-log windows down to 1, update-queue limits that force overflow, and line sizes.
+// Each case must still verify against the sequential reference.
 #include <gtest/gtest.h>
 
 #include "src/apps/apps.h"
@@ -145,27 +145,6 @@ TEST_P(QueueLimitSweepTest, CholeskyVerifiesEvenWhenQueuesOverflow) {
   params.grid = 10;
   AppReport report = RunCholesky(config, params);
   EXPECT_TRUE(report.verified) << "queue limit " << GetParam();
-}
-
-// --- Two-level fanout sweep ---------------------------------------------------------------------
-
-class FanoutSweepTest : public ::testing::TestWithParam<uint32_t> {};
-
-INSTANTIATE_TEST_SUITE_P(Fanouts, FanoutSweepTest, ::testing::Values(2u, 16u, 128u, 2048u),
-                         [](const ::testing::TestParamInfo<uint32_t>& info) {
-                           return "fanout" + std::to_string(info.param);
-                         });
-
-TEST_P(FanoutSweepTest, WaterVerifiesUnderAnyFanout) {
-  SystemConfig config;
-  config.mode = DetectionMode::kRtTwoLevel;
-  config.num_procs = 4;
-  config.first_level_fanout = GetParam();
-  WaterParams params;
-  params.molecules = 48;
-  params.steps = 2;
-  AppReport report = RunWater(config, params);
-  EXPECT_TRUE(report.verified) << "fanout " << GetParam();
 }
 
 // --- Default line size sweep --------------------------------------------------------------------

@@ -1,5 +1,6 @@
 // Multi-process integration tests: each DSM processor is a forked OS process over the TCP
-// mesh — the paper's network-of-workstations shape. Children run the SPMD body and _exit
+// mesh (one per-rank EpollTransport per process) — the paper's network-of-workstations
+// shape. Children run the SPMD body and _exit
 // with a status the parent asserts on after waitpid.
 #include <sys/wait.h>
 #include <unistd.h>
@@ -101,6 +102,74 @@ TEST_P(DistributedTest, CounterAndBarrierAcrossProcesses) {
     EXPECT_TRUE(WIFEXITED(status)) << "child did not exit cleanly";
     EXPECT_EQ(WEXITSTATUS(status), 0);
   }
+}
+
+TEST_P(DistributedTest, GrantLargerThanAReceiveBufferAcrossProcesses) {
+  // Rank 0 rebinds a lock to 320 KiB and writes all of it; rank 1's next acquire finds its
+  // binding stale, so the grant ships the whole range in one frame. That frame is larger
+  // than a 256 KiB pooled receive buffer: the sender queues it under backpressure and the
+  // receiver carries its prefix into a dedicated buffer (the straddle path).
+  constexpr int kElems = 40 * 1024;
+  SystemConfig config;
+  config.mode = GetParam();
+  config.num_procs = 2;
+
+  uint16_t port = 0;
+  int listener = net::Listen("127.0.0.1", &port);
+  ASSERT_GE(listener, 0);
+
+  auto body = [](Runtime& rt) -> bool {
+    auto data = MakeSharedArray<int64_t>(rt, kElems);
+    LockId lock = rt.CreateLock();
+    rt.Bind(lock, {data.Range(0, 8)});
+    BarrierId phase = rt.CreateBarrier();
+    for (int i = 0; i < kElems; ++i) data.raw_mutable()[i] = 0;
+    rt.BeginParallel();
+    if (rt.self() == 0) {
+      rt.Acquire(lock);
+      rt.Rebind(lock, {data.WholeRange()});
+      for (int i = 0; i < kElems; ++i) data[i] = 7 * i + 1;
+      rt.Release(lock);
+    }
+    rt.BarrierWait(phase);
+    bool ok = true;
+    if (rt.self() == 1) {
+      rt.Acquire(lock);
+      for (int i = 0; i < kElems; ++i) {
+        if (data.Get(i) != 7 * i + 1) ok = false;
+      }
+      rt.Release(lock);
+    }
+    rt.BarrierWait(phase);
+    return ok;
+  };
+
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::close(listener);
+    DistributedOptions opts;
+    opts.rank = 1;
+    opts.num_procs = 2;
+    opts.coordinator_port = port;
+    bool ok = true;
+    RunDistributedNode(config, opts, [&](Runtime& rt) { ok = body(rt); });
+    _exit(ok ? 0 : 2);
+  }
+  DistributedOptions opts;
+  opts.rank = 0;
+  opts.num_procs = 2;
+  opts.adopted_listener_fd = listener;
+  bool ok = true;
+  CounterSnapshot stats =
+      RunDistributedNode(config, opts, [&](Runtime& rt) { ok = body(rt); });
+  EXPECT_TRUE(ok);
+  EXPECT_GE(stats.data_bytes_sent, kElems * sizeof(int64_t));
+
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "rank 1 saw a wrong value";
 }
 
 TEST(DistributedTest2, RebindingAcrossProcesses) {

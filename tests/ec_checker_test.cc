@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <tuple>
 
 #include "src/apps/apps.h"
 #include "src/core/midway.h"
@@ -319,7 +321,9 @@ TEST(EcCheckerTest, DisabledByDefaultCostsNothing) {
 
 // --- Clean runs: the five paper apps are violation-free under the checker ------------------
 
-class EcCleanRunTest : public testing::TestWithParam<std::tuple<const char*, DetectionMode>> {};
+// The app name is a std::string, not a const char*, so gtest prints the parameter by value and
+// the test's listed name does not carry a per-run address.
+class EcCleanRunTest : public testing::TestWithParam<std::tuple<std::string, DetectionMode>> {};
 
 TEST_P(EcCleanRunTest, AppRunsViolationFree) {
   const auto& [app, mode] = GetParam();
@@ -335,10 +339,12 @@ TEST_P(EcCleanRunTest, AppRunsViolationFree) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAppsRtAndVm, EcCleanRunTest,
-    testing::Combine(testing::Values("water", "quicksort", "matmul", "sor", "cholesky"),
+    testing::Combine(testing::Values(std::string("water"), std::string("quicksort"),
+                                     std::string("matmul"), std::string("sor"),
+                                     std::string("cholesky")),
                      testing::Values(DetectionMode::kRt, DetectionMode::kVmSoft)),
     [](const testing::TestParamInfo<EcCleanRunTest::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) +
+      return std::get<0>(info.param) +
              (std::get<1>(info.param) == DetectionMode::kRt ? "_rt" : "_vm");
     });
 

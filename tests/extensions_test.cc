@@ -183,8 +183,7 @@ INSTANTIATE_TEST_SUITE_P(
       std::vector<ProgramCase> cases;
       for (DetectionMode mode :
            {DetectionMode::kRt, DetectionMode::kVmSoft, DetectionMode::kVmSigsegv,
-            DetectionMode::kTwinAll, DetectionMode::kRtTwoLevel, DetectionMode::kRtQueue,
-            DetectionMode::kRtHybrid}) {
+            DetectionMode::kTwinAll, DetectionMode::kRtQueue, DetectionMode::kRtHybrid}) {
         for (uint64_t seed : {11u, 22u}) {
           cases.push_back({mode, seed});
         }

@@ -4,6 +4,8 @@
 // correct under many seeds.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/apps/apps.h"
 #include "src/net/jitter_transport.h"
 
@@ -54,6 +56,12 @@ struct JitterCase {
   DetectionMode mode;
   uint64_t seed;
 };
+
+// Printed by value: gtest's default byte dump would put the app pointer and padding bytes into
+// the test's listed name, which then changes from build to build.
+void PrintTo(const JitterCase& c, std::ostream* os) {
+  *os << c.app << " " << DetectionModeName(c.mode) << " seed " << c.seed;
+}
 
 class JitterAppTest : public ::testing::TestWithParam<JitterCase> {};
 

@@ -1,7 +1,10 @@
 // Unit and property tests for the memory substrate: regions (header masking, protection),
 // dirtybit tables (sentinel stamping, collection scans), page tables (twin lifecycle), and
 // word-granularity diffs.
+#include <atomic>
 #include <cstring>
+#include <mutex>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -167,6 +170,46 @@ TEST_P(PageTableTest, PartialLastPage) {
   EXPECT_EQ(table.PageBytes(1), 100u);
   EXPECT_TRUE(table.FaultIn(1));
   EXPECT_EQ(std::memcmp(table.Twin(1), region.data() + 4096, 100), 0);
+}
+
+TEST_P(PageTableTest, DirtyPageAlwaysHasCompleteTwin) {
+  // The runtime's shape: the application thread faults pages in without the runtime lock and
+  // retires them under it; the comm thread, under the lock, diffs every page that reads as
+  // dirty against its twin. A page must never read as dirty before its twin is complete.
+  Region region(0, 4096, 8, true);
+  PageTable table(&region, 4096, GetParam());
+  std::mutex mu;
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> observed{0};
+  std::atomic<uint64_t> bad{0};
+  std::thread comm([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lk(mu);
+      if (!table.IsDirty(0)) continue;
+      observed.fetch_add(1, std::memory_order_relaxed);
+      const std::byte* twin = table.Twin(0);
+      if (twin == nullptr) {
+        bad.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      // Every fault snapshots a page filled with one byte value, so a complete twin is uniform.
+      for (size_t i = 1; i < 4096; ++i) {
+        if (twin[i] != twin[0]) {
+          bad.fetch_add(1, std::memory_order_relaxed);
+          break;
+        }
+      }
+    }
+  });
+  for (int round = 0; round < 5000; ++round) {
+    table.FaultIn(0);
+    std::memset(region.data(), round & 0xFF, 4096);  // the faulting store, then more
+    std::lock_guard<std::mutex> lk(mu);
+    table.MarkClean(0);
+  }
+  done.store(true, std::memory_order_release);
+  comm.join();
+  EXPECT_EQ(bad.load(), 0u) << "of " << observed.load() << " dirty observations";
 }
 
 TEST(PageTableTest2, PageOfMath) {

@@ -186,9 +186,13 @@ TEST(ReliableChannelTest, BackoffDoublesAndCaps) {
 TEST(ReliableChannelTest, AckProgressResetsBackoff) {
   // Drop the first 3 data frames so the RTO backs off, then let traffic through; the next
   // send must start from the initial RTO again. Timeouts are long enough here that reading
-  // the RTO right after Send cannot race a genuine expiry.
+  // the RTO right after Send cannot race a genuine expiry. Node 1's frames to node 0 are
+  // held back from just before Send(2) until after the read: otherwise frame 2 can be
+  // delivered and acked first, leaving nothing in flight (an RTO of 0).
   std::atomic<int> to_drop{3};
+  std::atomic<bool> hold_acks{false};
   ScriptedTransport transport(2, [&](NodeId src, NodeId dst, const std::vector<std::byte>& f) {
+    if (src == 1 && dst == 0) return hold_acks.load();
     return src == 0 && dst == 1 && IsRelData(f) && to_drop.fetch_sub(1) > 0;
   });
   SystemConfig config;
@@ -205,8 +209,10 @@ TEST(ReliableChannelTest, AckProgressResetsBackoff) {
       std::this_thread::sleep_for(1ms);
     }
     ASSERT_EQ(a.channel().DebugUnacked(1), 0u);
+    hold_acks = true;
     a.channel().Send(1, AppFrame(2));
     EXPECT_EQ(a.channel().DebugCurrentRtoUs(1), config.rel_initial_rto_us);
+    hold_acks = false;  // the retransmission of frame 2 is acked normally
     ASSERT_TRUE(b.WaitForDelivered(2, 5s));
   }
 }

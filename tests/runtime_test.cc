@@ -10,9 +10,9 @@ namespace midway {
 namespace {
 
 std::vector<DetectionMode> AllDsmModes() {
-  return {DetectionMode::kRt,        DetectionMode::kVmSoft,  DetectionMode::kVmSigsegv,
-          DetectionMode::kBlast,     DetectionMode::kTwinAll, DetectionMode::kRtTwoLevel,
-          DetectionMode::kRtQueue,   DetectionMode::kRtHybrid};
+  return {DetectionMode::kRt,      DetectionMode::kVmSoft,  DetectionMode::kVmSigsegv,
+          DetectionMode::kBlast,   DetectionMode::kTwinAll, DetectionMode::kRtQueue,
+          DetectionMode::kRtHybrid};
 }
 
 SystemConfig MakeConfig(DetectionMode mode, uint16_t procs) {

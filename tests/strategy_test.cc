@@ -301,31 +301,32 @@ TEST(BlastTest, CollectShipsEverythingAlways) {
   EXPECT_EQ(snap.dirtybits_set, 0u);
 }
 
-// --- Two-level RT ---------------------------------------------------------------------------
+// --- RT summary bitmap (the two-level scheme) ------------------------------------------------
 
+// kRt's summary bitmap is the two-level scheme: one summary bit covers 64 lines, and a clear
+// summary word skips its 64 slot loads.
 TEST(TwoLevelTest, CleanCoverBlocksSkipScans) {
   SystemConfig config;
-  config.mode = DetectionMode::kRtTwoLevel;
-  config.first_level_fanout = 64;
+  config.mode = DetectionMode::kRt;
   RegionTable regions;
   Counters counters;
   auto strategy = MakeStrategy(config, &regions, &counters);
-  Region* region = regions.Create(1 << 16, 8, true);  // 8192 lines, 128 cover blocks
+  Region* region = regions.Create(1 << 16, 8, true);  // 8192 lines, 128 summary words
   strategy->AttachRegion(region);
   strategy->OnBeginParallel();
 
-  strategy->NoteWrite(region->header(), 0, 8);  // dirty block 0 only
+  strategy->NoteWrite(region->header(), 0, 8);  // dirty word 0 only
   Binding b;
   b.ranges = {GlobalRange{{region->id(), 0}, 1 << 16}};
   UpdateSet out;
   strategy->Collect(b, 0, 7, &out);
   ASSERT_EQ(out.size(), 1u);
   auto snap = CounterSnapshot::From(counters);
-  EXPECT_EQ(snap.first_level_skips, 127u);
-  // Only block 0's 64 lines were scanned individually (63 clean + 1 dirty), plus one
-  // first-level read per skipped block.
+  EXPECT_EQ(snap.summary_word_skips, 127u);
+  // Skipped lines still count as clean reads, so the totals are the paper's flat scan:
+  // one dirty line and every other line of the region clean.
   EXPECT_EQ(snap.dirty_dirtybits_read, 1u);
-  EXPECT_EQ(snap.clean_dirtybits_read, 63u + 127u);
+  EXPECT_EQ(snap.clean_dirtybits_read, 8191u);
 }
 
 // --- Cross-strategy property: random write patterns propagate exactly -----------------------
@@ -337,8 +338,7 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, PropagationFuzzTest,
     ::testing::Combine(::testing::Values(DetectionMode::kRt, DetectionMode::kVmSoft,
                                          DetectionMode::kVmSigsegv, DetectionMode::kTwinAll,
-                                         DetectionMode::kRtTwoLevel, DetectionMode::kRtQueue,
-                                         DetectionMode::kRtHybrid),
+                                         DetectionMode::kRtQueue, DetectionMode::kRtHybrid),
                        ::testing::Values(1, 2, 3)),
     [](const ::testing::TestParamInfo<std::tuple<DetectionMode, uint64_t>>& info) {
       std::string name = DetectionModeName(std::get<0>(info.param));
